@@ -1,12 +1,15 @@
 package campaign
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -38,10 +41,15 @@ type ShardedOptions struct {
 	// completed shard the per-shard reports (each carrying its tracker's
 	// feedback state) and the shard seed table are written atomically
 	// (unique temp file + fsync + rename, with the previous generation
-	// rotated to CheckpointPath+".bak") to this path. Write failures
-	// degrade the campaign (counted in Report.CheckpointWriteFailures)
-	// instead of aborting it. Both generations are removed once the
-	// campaign completes.
+	// rotated to CheckpointPath+".bak") to this path. Each shard's report
+	// is JSON-encoded once, by its worker and outside the checkpoint lock;
+	// every save splices the cached encodings and resumes the checksum
+	// from the previous save's, so a campaign's encoding and hashing
+	// cost is linear in its shard count (each save still writes and
+	// fsyncs every finished shard's bytes). Write failures degrade the
+	// campaign (counted in Report.CheckpointWriteFailures) instead of
+	// aborting it. Both generations are removed once the campaign
+	// completes.
 	CheckpointPath string
 	// Resume loads CheckpointPath before running and skips the shards it
 	// already holds. The checkpoint's configuration fingerprint must
@@ -98,6 +106,101 @@ type checkpointFile struct {
 	Seeds []int64
 	// Shards is indexed by shard ordinal; nil marks an incomplete shard.
 	Shards []*Report
+	// encoded caches each shard's JSON encoding, indexed like Shards: set
+	// by the worker that ran the shard, or kept verbatim from the file a
+	// resume restored it from. Unexported, so the JSON shape is unchanged.
+	// A nil entry under a non-nil shard is encoded at save time.
+	encoded [][]byte
+	// sum carries the payload checksum's state from one save to the next.
+	sum prefixSum
+}
+
+// UnmarshalJSON decodes a checkpoint payload. Shards are first split out
+// as raw JSON and kept in encoded, so a resumed campaign's saves splice
+// the restored bytes instead of encoding those reports again.
+func (cp *checkpointFile) UnmarshalJSON(data []byte) error {
+	var raw struct {
+		Fingerprint string
+		TotalShards int
+		Seeds       []int64
+		Shards      []json.RawMessage
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*cp = checkpointFile{
+		Fingerprint: raw.Fingerprint,
+		TotalShards: raw.TotalShards,
+		Seeds:       raw.Seeds,
+	}
+	if raw.Shards == nil {
+		return nil
+	}
+	cp.Shards = make([]*Report, len(raw.Shards))
+	cp.encoded = make([][]byte, len(raw.Shards))
+	for i, enc := range raw.Shards {
+		if err := json.Unmarshal(enc, &cp.Shards[i]); err != nil {
+			return err
+		}
+		if cp.Shards[i] != nil {
+			cp.encoded[i] = enc
+		}
+	}
+	return nil
+}
+
+// shardJSON returns shard i's encoding: the cached bytes when present,
+// "null" for an incomplete shard, otherwise a fresh encoding.
+func (cp *checkpointFile) shardJSON(i int) ([]byte, error) {
+	if cp.Shards[i] == nil {
+		return jsonNull, nil
+	}
+	if i < len(cp.encoded) && cp.encoded[i] != nil {
+		return cp.encoded[i], nil
+	}
+	return json.Marshal(cp.Shards[i])
+}
+
+var (
+	jsonNull  = []byte("null")
+	jsonComma = []byte(",")
+)
+
+// payloadPieces returns cp's JSON encoding as byte slices whose
+// concatenation is exactly json.Marshal(cp): a header with the
+// fingerprint, shard count and seed table, then each shard's encoding.
+// No piece is copied; the cached shard encodings are spliced in place.
+func (cp *checkpointFile) payloadPieces() ([][]byte, error) {
+	fp, err := json.Marshal(cp.Fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	seeds, err := json.Marshal(cp.Seeds)
+	if err != nil {
+		return nil, err
+	}
+	head := append([]byte(`{"Fingerprint":`), fp...)
+	head = append(head, `,"TotalShards":`...)
+	head = strconv.AppendInt(head, int64(cp.TotalShards), 10)
+	head = append(head, `,"Seeds":`...)
+	head = append(head, seeds...)
+	head = append(head, `,"Shards":`...)
+	if cp.Shards == nil {
+		return [][]byte{append(head, "null}"...)}, nil
+	}
+	pieces := make([][]byte, 0, 2*len(cp.Shards)+2)
+	pieces = append(pieces, append(head, '['))
+	for i := range cp.Shards {
+		if i > 0 {
+			pieces = append(pieces, jsonComma)
+		}
+		enc, err := cp.shardJSON(i)
+		if err != nil {
+			return nil, err
+		}
+		pieces = append(pieces, enc)
+	}
+	return append(pieces, []byte("]}")), nil
 }
 
 // errCkptCorrupt marks a checkpoint generation that cannot be trusted:
@@ -199,6 +302,7 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 		TotalShards: nShards,
 		Seeds:       make([]int64, nShards),
 		Shards:      make([]*Report, nShards),
+		encoded:     make([][]byte, nShards),
 	}
 	for i, sc := range shards {
 		cp.Seeds[i] = sc.Seed
@@ -224,9 +328,17 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 		if err != nil {
 			return err
 		}
+		var enc []byte
+		if opts.CheckpointPath != "" {
+			// Encode once, off the lock: every later save splices these
+			// bytes. On an encoding error enc stays nil and each save
+			// re-encodes the shard, failing and counting like any other
+			// checkpoint write failure.
+			enc, _ = json.Marshal(rep)
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		cp.Shards[i] = rep
+		cp.Shards[i], cp.encoded[i] = rep, enc
 		if opts.CheckpointPath != "" {
 			if serr := saveCheckpoint(opts.CheckpointPath, cp, cfg.Chaos); serr != nil {
 				// Degrade, don't abort: the campaign keeps running and
@@ -359,6 +471,7 @@ func loadCheckpoint(path string, cp *checkpointFile) error {
 		}
 	}
 	copy(cp.Shards, old.Shards)
+	cp.encoded = old.encoded
 	return nil
 }
 
@@ -401,41 +514,99 @@ func ckptChecksum(payload []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// FNV-1a-64 parameters, for prefixSum's resumable form of ckptChecksum.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// prefixSum computes ckptChecksum's FNV-1a-64 over a payload given as
+// pieces, resumably across calls: the hash state after the longest run
+// of leading pieces equal to the previous call's is reused, so a save
+// that adds one shard rehashes only from that shard on. Shards finish in
+// roughly ordinal order, which keeps the rehashed suffix short and a
+// campaign's total hashing about linear in its checkpoint size.
+type prefixSum struct {
+	pieces [][]byte // the previous call's pieces
+	states []uint64 // states[k]: the hash state after pieces[:k+1]
+}
+
+func (ps *prefixSum) sum(pieces [][]byte) uint64 {
+	k := 0
+	for k < len(pieces) && k < len(ps.pieces) && bytes.Equal(pieces[k], ps.pieces[k]) {
+		k++
+	}
+	h := uint64(fnvOffset64)
+	if k > 0 {
+		h = ps.states[k-1]
+	}
+	ps.states = ps.states[:k]
+	for _, p := range pieces[k:] {
+		for _, c := range p {
+			h ^= uint64(c)
+			h *= fnvPrime64
+		}
+		ps.states = append(ps.states, h)
+	}
+	ps.pieces = append(ps.pieces[:0], pieces...)
+	return h
+}
+
 // saveCheckpoint writes cp to path atomically and durably: the
 // checksummed envelope goes to a unique O_EXCL temp file in the same
 // directory (concurrent campaigns sharing a path can no longer clobber
 // each other's temp), is fsynced, and replaces the checkpoint via
 // rename — with the previous generation first rotated to path+".bak" as
-// the salvage target for torn-write recovery. The inj sites fault each
-// stage deterministically under chaos testing; inj is nil in production.
+// the salvage target for torn-write recovery. The file holds exactly
+// json.Marshal(checkpointEnvelope{Payload: json.Marshal(cp)}), but the
+// payload is never assembled: its pieces are hashed in place (resuming
+// from the previous save's state over the unchanged leading pieces),
+// then the envelope head and the pieces stream through a buffered
+// writer. The inj sites fault each stage deterministically under chaos
+// testing; inj is nil in production.
 func saveCheckpoint(path string, cp *checkpointFile, inj *chaos.Injector) error {
 	if inj.CheckpointFault(chaos.CheckpointMarshal) {
 		return fmt.Errorf("campaign: encoding checkpoint: %w", errInjected)
 	}
-	payload, err := json.Marshal(cp)
+	payload, err := cp.payloadPieces()
 	if err != nil {
 		return fmt.Errorf("campaign: encoding checkpoint: %w", err)
 	}
-	data, err := json.Marshal(checkpointEnvelope{
-		Version:  checkpointVersion,
-		Checksum: ckptChecksum(payload),
-		Payload:  payload,
-	})
-	if err != nil {
-		return fmt.Errorf("campaign: encoding checkpoint envelope: %w", err)
+	// The envelope's fields are an int and a hex string, so its head is
+	// already in json.Marshal's form; the payload is compact and
+	// HTML-escaped, which re-marshalling a json.RawMessage leaves as is.
+	head := fmt.Appendf(nil, `{"Version":%d,"Checksum":"%016x","Payload":`,
+		checkpointVersion, cp.sum.sum(payload))
+	parts := append([][]byte{head}, payload...)
+	parts = append(parts, []byte("}"))
+	limit := 0
+	for _, p := range parts {
+		limit += len(p)
 	}
 	if inj.CheckpointFault(chaos.CheckpointTorn) {
 		// A torn write that still commits: half the bytes reach the final
 		// rename. The checksum catches it on load and the .bak generation
 		// salvages the resume.
-		data = data[:len(data)/2]
+		limit /= 2
 	}
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("campaign: creating checkpoint temp file: %w", err)
 	}
 	tmp := f.Name()
-	_, err = f.Write(data)
+	w := bufio.NewWriterSize(f, 64<<10)
+	for _, p := range parts {
+		if len(p) > limit {
+			p = p[:limit]
+		}
+		limit -= len(p)
+		if _, err = w.Write(p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
 	if err == nil && inj.CheckpointFault(chaos.CheckpointWrite) {
 		err = errInjected
 	}

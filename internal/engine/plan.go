@@ -524,7 +524,11 @@ func (s *DB) planIndexAccess(t *Table, alias string, conjs []sqlast.Expr) (rows 
 	// a *partial* index wrongly uses that index — regardless of cost, and
 	// without re-checking the rows its predicate excludes. Auto planning
 	// only: a forced plan names its index explicitly, and this defect
-	// lives in the index *selection*.
+	// lives in the index *selection*. Clean plans never read a partial
+	// store, so whatever it holds surfaces only through this defect: rows
+	// it drops, and detached rows it still holds (a predicate over table
+	// contents can stop covering a row by the time DELETE recomputes it).
+	// A stale store diverges as on any other index path.
 	if f := fs.PartialIndex(); f != nil && rel.Force == ForceAuto {
 		for i := range probes {
 			if probes[i].op != sqlast.OpEq {
@@ -537,8 +541,14 @@ func (s *DB) planIndexAccess(t *Table, alias string, conjs []sqlast.Expr) (rows 
 				probe := compositeProbe{ix: ix, eq: []Value{probes[i].val}, rangeIdx: -1}
 				lo, hi := probe.span()
 				rows := ix.entries[lo:hi]
-				if s.indexDropObservable(t, &probe, rows, conjs) {
+				if s.indexDropObservable(t, &probe, rows, conjs) ||
+					s.detachedRowObservable(t, rows, conjs) {
 					s.trigger(f)
+				}
+				if ix.stale {
+					if sf := fs.StaleIndex(); sf != nil && s.staleProbeDiverges(t, &probe, rows) {
+						s.trigger(sf)
+					}
 				}
 				return rows, ix, -1, true
 			}
@@ -978,6 +988,37 @@ func (s *DB) indexDropObservable(t *Table, probe *compositeProbe, candidates [][
 			continue
 		}
 		env.rels[0].vals = row
+		if s.conjsPassCleanly(ctx, conjs, -1) {
+			return true
+		}
+	}
+	return false
+}
+
+// detachedRowObservable reports whether a candidate set returns a row
+// that is no longer in the table — an index entry that outlived its
+// row — and that passes every WHERE conjunct under clean semantics, so
+// it surfaces in the result. Ground-truth accounting only — its work is
+// excluded from the statement cost.
+func (s *DB) detachedRowObservable(t *Table, candidates [][]Value, conjs []sqlast.Expr) bool {
+	if len(candidates) == 0 {
+		return false
+	}
+	saved := s.cost
+	defer func() { s.cost = saved }()
+	live := make(map[*Value]bool, len(t.Rows))
+	for _, row := range t.Rows {
+		if len(row) > 0 {
+			live[&row[0]] = true
+		}
+	}
+	env := &rowEnv{rels: []rowRel{tableRowRel(t, nil)}}
+	ctx := s.newEvalCtx(env)
+	for _, r := range candidates {
+		if len(r) == 0 || live[&r[0]] {
+			continue
+		}
+		env.rels[0].vals = r
 		if s.conjsPassCleanly(ctx, conjs, -1) {
 			return true
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sqlancerpp/internal/dialect"
@@ -302,6 +303,66 @@ func TestFaultPartialIndexTriggerPrecision(t *testing.T) {
 	if len(res.Rows) != 1 || len(db.TriggeredFaults()) != 0 {
 		t.Fatalf("covered-only result must not trigger: %d rows, triggered %v",
 			len(res.Rows), db.TriggeredFaults())
+	}
+}
+
+// partialIndexDivergence runs script on a monetdb engine armed with
+// PartialIndexScan ("pis") and StaleIndexAfterUpdate ("stale") and on a
+// fault-free engine, checks that the final query diverges, and returns
+// the fault IDs that query triggered.
+func partialIndexDivergence(t *testing.T, script []string) []string {
+	t.Helper()
+	faulty := faultedDB(t, "monetdb",
+		faults.Fault{ID: "pis", Kind: faults.PartialIndexScan, Class: faults.Logic},
+		faults.Fault{ID: "stale", Kind: faults.StaleIndexAfterUpdate, Class: faults.Logic})
+	clean := openPlanDB(t)
+	last := len(script) - 1
+	for _, q := range script[:last] {
+		mustExec(t, faulty, q)
+		mustExec(t, clean, q)
+	}
+	faulty.TriggeredFaults() // only the final query's triggers count
+	got := mustQuery(t, faulty, script[last]).RenderRows()
+	triggered := faulty.TriggeredFaults()
+	want := mustQuery(t, clean, script[last]).RenderRows()
+	if fmt.Sprint(got) == fmt.Sprint(want) {
+		t.Fatalf("no divergence to attribute: both engines return %v", got)
+	}
+	return triggered
+}
+
+// TestFaultPartialIndexStaleStore: a probe through the PartialIndexScan
+// path on a store StaleIndexAfterUpdate left stale returns the
+// pre-update row; the divergence triggers the stale-index fault (the
+// partial branch used to return before the stale check — a false
+// positive).
+func TestFaultPartialIndexStaleStore(t *testing.T) {
+	triggered := partialIndexDivergence(t, []string{
+		"CREATE TABLE t1 (c0 BOOLEAN, c1 BOOLEAN, PRIMARY KEY (c0))",
+		"INSERT OR IGNORE INTO t1 (c0, c1) VALUES (FALSE, TRUE)",
+		"CREATE UNIQUE INDEX i1 ON t1 (c1) WHERE ('0' LIKE '%')",
+		"UPDATE t1 SET c0 = t1.c0, c1 = FALSE",
+		"SELECT t1.c1 FROM t1 WHERE (t1.c1 = TRUE)",
+	})
+	if !slices.Contains(triggered, "stale") {
+		t.Fatalf("stale partial store diverged without triggering the stale-index fault: %v", triggered)
+	}
+}
+
+// TestFaultPartialIndexDetachedRow: a partial index whose predicate reads
+// the table itself stops covering a row once DELETE empties the table,
+// so the row's entry is never removed; the PartialIndexScan path then
+// returns the deleted row, which must trigger the fault.
+func TestFaultPartialIndexDetachedRow(t *testing.T) {
+	triggered := partialIndexDivergence(t, []string{
+		"CREATE TABLE t0 (c0 INT, c3 INT)",
+		"INSERT INTO t0 (c0, c3) VALUES (1, 2)",
+		"CREATE INDEX i1 ON t0 (c0, c3) WHERE (EXISTS (SELECT * FROM t0))",
+		"DELETE FROM t0 WHERE c0 = 1",
+		"SELECT * FROM t0 WHERE c0 = 1",
+	})
+	if !slices.Contains(triggered, "pis") {
+		t.Fatalf("detached partial-index row surfaced without triggering PartialIndexScan: %v", triggered)
 	}
 }
 

@@ -101,7 +101,7 @@ type Options struct {
 	Checkpoint string
 	// Resume continues an interrupted campaign from Checkpoint; the final
 	// report is byte-identical to an uninterrupted run. A missing
-	// checkpoint file starts fresh.
+	// checkpoint file starts fresh; Resume without Checkpoint is an error.
 	Resume bool
 	// Interrupt, when closed, stops a sharded campaign at the next shard
 	// boundary: Run returns ErrInterrupted after checkpointing every
@@ -211,6 +211,9 @@ type QuarantinedShard struct {
 
 // Run executes a testing campaign against a registered dialect.
 func Run(o Options) (*Report, error) {
+	if o.Resume && o.Checkpoint == "" {
+		return nil, fmt.Errorf("sqlancerpp: Resume requires a Checkpoint path")
+	}
 	d, err := dialect.Get(o.DBMS)
 	if err != nil {
 		return nil, err
@@ -252,7 +255,7 @@ func Run(o Options) (*Report, error) {
 		cfg.Mode = campaign.Adaptive
 	}
 	var rep *campaign.Report
-	if o.Workers > 0 || o.Checkpoint != "" || o.Resume {
+	if o.Workers > 0 || o.Checkpoint != "" {
 		// Checkpointing works at shard granularity, so it implies the
 		// sharded runner even when Workers was left zero.
 		rep, err = campaign.RunShardedOpts(cfg, campaign.ShardedOptions{

@@ -28,6 +28,19 @@ func TestRunCleanEngineIsQuiet(t *testing.T) {
 	}
 }
 
+// TestRunResumeRequiresCheckpoint: Resume names no file to resume from
+// without Checkpoint, so Run refuses it instead of silently starting a
+// fresh campaign.
+func TestRunResumeRequiresCheckpoint(t *testing.T) {
+	rep, err := Run(Options{DBMS: "sqlite", TestCases: 200, Seed: 1, Resume: true})
+	if err == nil {
+		t.Fatalf("Resume without Checkpoint ran a campaign: %+v", rep)
+	}
+	if !strings.Contains(err.Error(), "Checkpoint") {
+		t.Fatalf("error %q does not name the missing Checkpoint", err)
+	}
+}
+
 func TestRunFindsInjectedBugs(t *testing.T) {
 	report, err := Run(Options{
 		DBMS:      "cratedb",
