@@ -2,13 +2,14 @@
 // 2): the adaptive statement generator builds a database state while
 // maintaining the schema model, issues oracle-checked queries, feeds
 // execution statuses back into the Bayesian tracker, prioritizes
-// bug-inducing cases by feature-set subsumption, and reduces the
-// prioritized ones.
+// bug-inducing cases by feature-set subsumption, and — in one pass after
+// the case loop — reduces the prioritized ones.
 package campaign
 
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -23,7 +24,9 @@ import (
 	"sqlancerpp/internal/coverage"
 	"sqlancerpp/internal/dialect"
 	"sqlancerpp/internal/engine"
+	"sqlancerpp/internal/par"
 	"sqlancerpp/internal/sqlast"
+	"sqlancerpp/internal/sqlparse"
 )
 
 // Mode selects the generator policy, matching the paper's configurations.
@@ -79,18 +82,11 @@ type Config struct {
 	SmokeEvery int
 
 	Seed int64
-	// Oracles selects oracles by registry name; empty derives from the
-	// legacy UseTLP/UseNoREC flags, and with those unset too, every
-	// registered oracle runs (TLP, TLPComposed, TLPAggregate, NoREC,
-	// PlanDiff). Dispatch rotates deterministically over the selection,
-	// weighted by each oracle's registered rotation weight.
+	// Oracles selects oracles by registry name; empty runs every
+	// registered oracle (TLP, TLPComposed, TLPAggregate, NoREC, PlanDiff).
+	// Dispatch rotates deterministically over the selection, weighted by
+	// each oracle's registered rotation weight.
 	Oracles []oracle.Name
-	// UseTLP / UseNoREC are the legacy oracle toggles: UseTLP selects the
-	// TLP family, UseNoREC selects NoREC, both selects both (never
-	// PlanDiff — legacy callers get exactly what they configured).
-	// Ignored when Oracles is set.
-	UseTLP   bool
-	UseNoREC bool
 
 	// Threshold, Confidence, UpdateInterval, DDLMaxFailures configure the
 	// Bayesian tracker (zero selects the paper defaults).
@@ -116,7 +112,10 @@ type Config struct {
 	// scheduler on.
 	NoPlanPairSched bool
 
-	// ReduceBugs runs the reducer on prioritized logic and harness bugs.
+	// ReduceBugs reduces the campaign's final prioritized logic and
+	// harness bugs: one pass after the case loop (Runner.Run) or after the
+	// shard merge (RunShardedOpts), so a bug is reduced only if the report
+	// keeps it. Each reduction replays the bug's own SQL text.
 	ReduceBugs bool
 	// RowBudget caps the rows any single statement may touch (scans, join
 	// probes, DML collection) before the engine aborts it with
@@ -212,9 +211,16 @@ type BugCase struct {
 	Triggered []string
 	// Duplicate marks cases the prioritizer deprioritized.
 	Duplicate bool
-	// Reduced holds the reduced statement sequence (prioritized logic
-	// bugs only, when reduction is enabled).
+	// Reduced holds the reduced statement sequence: set by the reduction
+	// pass on the report's prioritized logic and harness bugs when
+	// reduction is enabled and the bug reproduces on a pristine instance.
+	// Shard reports never carry it; the merged report is reduced.
 	Reduced []string
+	// Carrier is a logic bug's reducer input: the oracle case's base query
+	// with its predicate as WHERE, rendered as SQL. Set only with
+	// Config.ReduceBugs, on prioritized logic bugs; a harness bug's
+	// reducer input is its trigger, Queries[0].
+	Carrier string `json:",omitempty"`
 }
 
 // Report summarizes a campaign.
@@ -374,16 +380,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.SmokeEvery = 5
 	}
 	if len(cfg.Oracles) == 0 {
-		switch {
-		case cfg.UseTLP && cfg.UseNoREC:
-			cfg.Oracles = append(oracle.TLPFamily(), oracle.NoRECName)
-		case cfg.UseTLP:
-			cfg.Oracles = oracle.TLPFamily()
-		case cfg.UseNoREC:
-			cfg.Oracles = []oracle.Name{oracle.NoRECName}
-		default:
-			cfg.Oracles = oracle.DefaultNames()
-		}
+		cfg.Oracles = oracle.DefaultNames()
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = engine.DefaultBatchSize
@@ -498,8 +495,19 @@ func New(cfg Config) (*Runner, error) {
 // Tracker exposes the feedback tracker (tests and experiments).
 func (r *Runner) Tracker() *feedback.Tracker { return r.tracker }
 
-// Run executes the campaign and returns its report.
+// Run executes the campaign and returns its report: the case loop, then
+// the reduction pass over the bugs the prioritizer kept.
 func (r *Runner) Run() (*Report, error) {
+	rep := r.run()
+	if err := reduceBugs(r.cfg, rep.Bugs, 1); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// run is the case loop: it executes the campaign without reducing its
+// bugs. Shards run it, and the sharded runner reduces the merged report.
+func (r *Runner) run() *Report {
 	casesInDB := r.cfg.CasesPerDB // force a fresh DB on the first case
 	for i := 0; i < r.cfg.TestCases; i++ {
 		if casesInDB >= r.cfg.CasesPerDB {
@@ -513,20 +521,20 @@ func (r *Runner) Run() (*Report, error) {
 		casesInDB++
 	}
 	r.finishReport()
-	return r.report, nil
+	return r.report
 }
 
 // replayOpts assembles the engine options reduction replays run with:
 // the execution budget but not coverage, so reducer replays skip the
 // same statements the campaign skipped without polluting coverage
 // counts.
-func (r *Runner) replayOpts() []engine.Option {
+func replayOpts(cfg Config) []engine.Option {
 	var opts []engine.Option
-	if r.cfg.RowBudget > 0 {
-		opts = append(opts, engine.WithRowBudget(r.cfg.RowBudget))
+	if cfg.RowBudget > 0 {
+		opts = append(opts, engine.WithRowBudget(cfg.RowBudget))
 	}
-	if r.cfg.BatchSize != 0 {
-		opts = append(opts, engine.WithBatchSize(r.cfg.BatchSize))
+	if cfg.BatchSize != 0 {
+		opts = append(opts, engine.WithBatchSize(cfg.BatchSize))
 	}
 	return opts
 }
@@ -536,7 +544,7 @@ func (r *Runner) replayOpts() []engine.Option {
 // cancel flag. Replay instances deliberately get neither — reduction
 // must shrink against deterministic failures only.
 func (r *Runner) engineOpts() []engine.Option {
-	opts := r.replayOpts()
+	opts := replayOpts(r.cfg)
 	if r.cfg.Coverage != nil {
 		opts = append(opts, engine.WithCoverage(r.cfg.Coverage))
 	}
@@ -566,8 +574,8 @@ func (r *Runner) armWatchdog() *time.Timer {
 
 // disarmWatchdog stops the case's timer and clears the cancel flag so
 // the next case starts with a clean slate. It runs before the panic
-// containment handler (deferred after it, LIFO), so even a recovered
-// crash's reduction replays never observe a set flag.
+// containment handler (deferred after it, LIFO), so the handler's
+// restart never observes a set flag.
 func (r *Runner) disarmWatchdog(t *time.Timer) {
 	if t == nil {
 		return
@@ -673,7 +681,7 @@ func (r *Runner) execContained(st *gen.Statement) (err error, crashed bool) {
 func (r *Runner) containStmt(st *gen.Statement, crashed *bool) {
 	if p := recover(); p != nil {
 		*crashed = true
-		r.recordHarnessCrash(p, "", st.Stmt, st.Features)
+		r.recordHarnessCrash(p, "", st.SQL, st.Features)
 	}
 }
 
@@ -732,7 +740,7 @@ func (r *Runner) runOracleCase() {
 				Features:  oc.Features,
 				Triggered: res.Triggered,
 				Detail:    fmt.Sprintf("executor cost %d exceeds limit %d", res.MaxCost, r.cfg.PerfCostLimit),
-			}, nil)
+			})
 		}
 	case oracle.Invalid:
 		if engine.IsBudgetExceeded(res.Err) {
@@ -758,7 +766,7 @@ func (r *Runner) runOracleCase() {
 	case oracle.Bug:
 		r.report.ValidCases++
 		r.tracker.RecordQuery(oc.Features, true)
-		r.recordBug(&BugCase{
+		bug := &BugCase{
 			Class:     ClassLogic,
 			Oracle:    res.Oracle,
 			Seq:       c.Seq,
@@ -767,8 +775,19 @@ func (r *Runner) runOracleCase() {
 			Triggered: res.Triggered,
 			Detail:    res.Detail,
 			PlanSpec:  res.PlanSpec,
-		}, oc)
+		}
+		if r.recordBug(bug) && r.cfg.ReduceBugs {
+			bug.Carrier = carrierSQL(oc)
+		}
 	}
+}
+
+// carrierSQL renders an oracle case as one statement: the base query
+// with the predicate as its WHERE clause.
+func carrierSQL(oc *gen.OracleCase) string {
+	carrier := *oc.Base
+	carrier.Where = oc.Pred
+	return carrier.SQL()
 }
 
 // pickOracle returns the test case's oracle: the rotation slot, or —
@@ -793,9 +812,7 @@ func (r *Runner) checkContained(orc oracle.Oracle, c *oracle.Case, oc *gen.Oracl
 	defer func() {
 		if p := recover(); p != nil {
 			crashed = true
-			carrier := sqlast.CloneSelect(oc.Base)
-			carrier.Where = sqlast.CloneExpr(oc.Pred)
-			r.recordHarnessCrash(p, orc.Name(), carrier, oc.Features)
+			r.recordHarnessCrash(p, orc.Name(), carrierSQL(oc), oc.Features)
 		}
 	}()
 	wd := r.armWatchdog()
@@ -826,7 +843,7 @@ func (r *Runner) recordHang(orc oracle.Name, queries, features []string) {
 		Features: features,
 		Detail: fmt.Sprintf("case exceeded wall-clock timeout %s (seed %d, case %d)",
 			r.cfg.CaseTimeout, r.cfg.Seed, r.report.TestCases),
-	}, nil)
+	})
 }
 
 // recordHarnessCrash converts a recovered panic into a ClassHarness bug
@@ -835,21 +852,17 @@ func (r *Runner) recordHang(orc oracle.Name, queries, features []string) {
 // still attributes: the panic fault sites trigger before panicking, so
 // TriggeredFaults reflects the injected fault even though the statement
 // never completed.
-func (r *Runner) recordHarnessCrash(p any, orc oracle.Name, trigger sqlast.Stmt, features []string) {
+func (r *Runner) recordHarnessCrash(p any, orc oracle.Name, trigger string, features []string) {
 	r.report.HarnessCrashes++
-	bug := &BugCase{
+	r.recordBug(&BugCase{
 		Class:     ClassHarness,
 		Oracle:    orc,
 		Seq:       r.report.TestCases,
-		Queries:   []string{trigger.SQL()},
+		Queries:   []string{trigger},
 		Features:  features,
 		Triggered: r.db.TriggeredFaults(),
 		Detail:    fmt.Sprintf("harness panic: %v\n%s", p, sanitizeStack(debug.Stack())),
-	}
-	r.recordBug(bug, nil)
-	if r.cfg.ReduceBugs && !bug.Duplicate {
-		bug.Reduced = r.reduceHarnessBug(trigger)
-	}
+	})
 	r.db.Restart()
 }
 
@@ -866,7 +879,7 @@ func (r *Runner) handleExecError(st *gen.Statement, err error) {
 			Features:  st.Features,
 			Triggered: r.db.TriggeredFaults(),
 			Detail:    err.Error(),
-		}, nil)
+		})
 		r.db.Restart()
 		return
 	}
@@ -877,7 +890,7 @@ func (r *Runner) handleExecError(st *gen.Statement, err error) {
 			Features:  st.Features,
 			Triggered: r.db.TriggeredFaults(),
 			Detail:    err.Error(),
-		}, nil)
+		})
 	}
 }
 
@@ -889,11 +902,12 @@ func (r *Runner) recordErrorBug(class BugClass, res oracle.Result, features []st
 		Features:  features,
 		Triggered: res.Triggered,
 		Detail:    fmt.Sprint(res.Err),
-	}, nil)
+	})
 }
 
-// recordBug runs the prioritizer and stores prioritized cases.
-func (r *Runner) recordBug(bug *BugCase, oc *gen.OracleCase) {
+// recordBug runs the prioritizer, stores prioritized cases, and reports
+// whether it kept the bug.
+func (r *Runner) recordBug(bug *BugCase) bool {
 	r.bugID++
 	bug.ID = r.bugID
 	r.report.Detected++
@@ -914,41 +928,96 @@ func (r *Runner) recordBug(bug *BugCase, oc *gen.OracleCase) {
 
 	if !r.pri.Report(prioritizerFeatures(bug.Features)) {
 		bug.Duplicate = true
-		return
+		return false
 	}
 	r.report.Prioritized++
 	r.report.PrioritizedByClass[bug.Class]++
 	for _, s := range r.setup {
 		bug.Setup = append(bug.Setup, s.SQL)
 	}
-	if r.cfg.ReduceBugs && bug.Class == ClassLogic && oc != nil {
-		bug.Reduced = r.reduceLogicBug(bug, oc)
-	}
 	r.report.Bugs = append(r.report.Bugs, bug)
+	return true
 }
 
-// reduceLogicBug shrinks the setup+query sequence while the *same*
-// oracle — looked up by the bug's attributed registry name — keeps
-// failing, replaying on fresh pristine instances.
-func (r *Runner) reduceLogicBug(bug *BugCase, oc *gen.OracleCase) []string {
-	orc, ok := oracle.Get(bug.Oracle)
-	if !ok {
+// reduceBugs is the campaign's reduction pass: with Config.ReduceBugs it
+// reduces each of bugs, over at most workers goroutines, writing each
+// result to its own bug so the outcome never depends on scheduling.
+func reduceBugs(cfg Config, bugs []*BugCase, workers int) error {
+	if !cfg.ReduceBugs {
 		return nil
 	}
-	var stmts []sqlast.Stmt
-	for _, s := range r.setup {
-		stmts = append(stmts, sqlast.CloneStmt(s.Stmt))
+	return par.ForEach(len(bugs), workers, func(i int) error {
+		bugs[i].Reduced = reduceBug(cfg, bugs[i])
+		return nil
+	})
+}
+
+// reduceBug shrinks a bug's setup-plus-query sequence, parsed from its
+// SQL text, while bugProperty keeps holding. It returns nil for classes
+// the reducer does not handle and for bugs that do not reproduce on a
+// pristine instance.
+func reduceBug(cfg Config, bug *BugCase) []string {
+	prop := bugProperty(cfg, bug)
+	if prop == nil {
+		return nil
 	}
-	base := sqlast.CloneSelect(oc.Base)
-	pred := sqlast.CloneExpr(oc.Pred)
+	// The sequence under reduction: the setup, then a logic bug's carrier
+	// or a harness bug's trigger.
+	last := bug.Carrier
+	if bug.Class == ClassHarness {
+		last = bug.Queries[0]
+	}
+	stmts, err := parseSQL(append(slices.Clone(bug.Setup), last))
+	if err != nil || !prop(stmts) {
+		return nil
+	}
+	reduced := reduce.Reduce(stmts, prop)
+	out := make([]string, len(reduced))
+	for i, st := range reduced {
+		out[i] = st.SQL()
+	}
+	return out
+}
 
-	// The query under reduction is carried as a SELECT statement holding
-	// the predicate in WHERE; the property re-splits it.
-	carrier := sqlast.CloneSelect(base)
-	carrier.Where = pred
-	stmts = append(stmts, carrier)
+// parseSQL parses each SQL text into a fresh AST, which the reducer may
+// mutate; the shared parse cache's ASTs must never be.
+func parseSQL(sqls []string) ([]sqlast.Stmt, error) {
+	out := make([]sqlast.Stmt, len(sqls))
+	for i, src := range sqls {
+		st, err := sqlparse.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = st
+	}
+	return out, nil
+}
 
-	prop := func(cand []sqlast.Stmt) bool {
+// bugProperty is the property a bug's reduction preserves, replayed on
+// fresh pristine instances with the campaign's replay options: a logic
+// bug's carrier (the last statement) must still fail the oracle the bug
+// is attributed to, and a harness bug's sequence must still panic the
+// engine. nil for any other class, or an unknown oracle.
+func bugProperty(cfg Config, bug *BugCase) reduce.Property {
+	opts := replayOpts(cfg)
+	if bug.Class == ClassHarness {
+		// The property recovers per statement, so each shrink step stays
+		// inside the containment boundary.
+		return func(cand []sqlast.Stmt) bool {
+			db := engine.Open(cfg.Dialect, opts...)
+			for _, st := range cand {
+				if execPanics(db, st) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	orc, ok := oracle.Get(bug.Oracle)
+	if bug.Class != ClassLogic || !ok {
+		return nil
+	}
+	return func(cand []sqlast.Stmt) bool {
 		if len(cand) == 0 {
 			return false
 		}
@@ -956,7 +1025,7 @@ func (r *Runner) reduceLogicBug(bug *BugCase, oc *gen.OracleCase) []string {
 		if !ok || carrier.Where == nil {
 			return false
 		}
-		db := engine.Open(r.cfg.Dialect, r.replayOpts()...)
+		db := engine.Open(cfg.Dialect, opts...)
 		replayStmts(db, cand[:len(cand)-1])
 		cb := sqlast.CloneSelect(carrier)
 		cp := cb.Where
@@ -966,20 +1035,11 @@ func (r *Runner) reduceLogicBug(bug *BugCase, oc *gen.OracleCase) []string {
 		// instead of re-enumerating a (possibly different) plan space for
 		// the shrunken statement.
 		res, panicked := checkNoPanic(orc, db, &oracle.Case{Base: cb, Pred: cp, Seq: bug.Seq,
-			MaxPlans: r.cfg.MaxPlansPerQuery, PlanSpec: bug.PlanSpec})
+			MaxPlans: cfg.MaxPlansPerQuery, PlanSpec: bug.PlanSpec})
 		// A shrunken candidate that panics the engine does not exhibit
 		// the logic bug under reduction.
 		return !panicked && res.Outcome == oracle.Bug
 	}
-	if !prop(stmts) {
-		return nil // not reproducible from a pristine state
-	}
-	reduced := reduce.Reduce(stmts, prop)
-	out := make([]string, len(reduced))
-	for i, st := range reduced {
-		out[i] = st.SQL()
-	}
-	return out
 }
 
 // checkNoPanic runs an oracle check on a replay instance under a
@@ -992,37 +1052,6 @@ func checkNoPanic(orc oracle.Oracle, db *engine.DB, c *oracle.Case) (res oracle.
 		}
 	}()
 	return orc.Check(db, c), false
-}
-
-// reduceHarnessBug shrinks the setup-plus-trigger sequence to the
-// smallest one whose replay still panics the engine, replaying on fresh
-// instances with the same dialect faults and execution budget. The
-// property recovers per statement, so each shrink step stays inside the
-// containment boundary.
-func (r *Runner) reduceHarnessBug(trigger sqlast.Stmt) []string {
-	var stmts []sqlast.Stmt
-	for _, s := range r.setup {
-		stmts = append(stmts, sqlast.CloneStmt(s.Stmt))
-	}
-	stmts = append(stmts, sqlast.CloneStmt(trigger))
-	prop := func(cand []sqlast.Stmt) bool {
-		db := engine.Open(r.cfg.Dialect, r.replayOpts()...)
-		for _, st := range cand {
-			if execPanics(db, st) {
-				return true
-			}
-		}
-		return false
-	}
-	if !prop(stmts) {
-		return nil // not reproducible from a pristine state
-	}
-	reduced := reduce.Reduce(stmts, prop)
-	out := make([]string, len(reduced))
-	for i, st := range reduced {
-		out[i] = st.SQL()
-	}
-	return out
 }
 
 // execPanics executes one statement under a recovery boundary,

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -316,7 +317,9 @@ func TestResumeBothGenerationsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path+".bak", []byte(`{"Version":2,"Checksum":"0","Payload":{}}`), 0o644); err != nil {
+	// An intact envelope of the current version whose checksum fails.
+	bak := fmt.Sprintf(`{"Version":%d,"Checksum":"0","Payload":{}}`, checkpointVersion)
+	if err := os.WriteFile(path+".bak", []byte(bak), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := RunShardedOpts(cfg, ShardedOptions{
@@ -377,6 +380,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[len(valid)/3:])
 	f.Add([]byte(`{"Version":2,"Checksum":"cbf29ce484222325","Payload":null}`))
+	f.Add([]byte(`{"Version":3,"Checksum":"cbf29ce484222325","Payload":null}`))
 	f.Add([]byte(`{"Version":1}`))
 	f.Add([]byte("{"))
 	f.Add([]byte{})

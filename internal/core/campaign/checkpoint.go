@@ -34,8 +34,9 @@ const (
 
 // ShardedOptions parameterizes RunShardedOpts.
 type ShardedOptions struct {
-	// Workers bounds concurrent shard execution (minimum 1). The worker
-	// count never affects the merged report, only wall-clock time.
+	// Workers bounds concurrent shard execution and the reduction pass
+	// after the merge (minimum 1). The worker count never affects the
+	// merged report, only wall-clock time.
 	Workers int
 	// CheckpointPath, when set, persists campaign progress: after every
 	// completed shard the per-shard reports (each carrying its tracker's
@@ -77,7 +78,9 @@ type ShardedOptions struct {
 // checkpointVersion is bumped whenever the checkpoint layout or the
 // shard partitioning scheme changes incompatibly. Version 2 wraps the
 // payload in a checksummed envelope and adds the ".bak" generation.
-const checkpointVersion = 2
+// Version 3 shard reports carry the reducer's input (BugCase.Carrier)
+// instead of its output: reduction runs once, after the merge.
+const checkpointVersion = 3
 
 // checkpointEnvelope is the on-disk frame around the checkpoint payload:
 // a version and an FNV-1a content checksum that makes every checkpoint
@@ -220,8 +223,6 @@ var errInjected = errors.New("injected chaos fault")
 // about in review, never by being forgotten.
 var fingerprintExcluded = map[string]string{
 	"Policy":      "behavior value, unrenderable: checkpointed runs must configure via Mode (which is fingerprinted)",
-	"UseTLP":      "legacy toggle: withDefaults resolves it into Oracles (fingerprinted) before fingerprint runs",
-	"UseNoREC":    "legacy toggle: withDefaults resolves it into Oracles (fingerprinted) before fingerprint runs",
 	"BatchSize":   "execution is observationally identical at every batch width (columnar parity contract)",
 	"CaseTimeout": "wall-clock watchdog is host-dependent infrastructure; hangs never feed reports or validity",
 	"Chaos":       "injected infrastructure faults must be survivable — including by a chaos-free -resume",
@@ -234,8 +235,6 @@ var fingerprintExcluded = map[string]string{
 // separately rejects stale or contradictory entries.)
 var _ = Config{
 	Policy:      nil,
-	UseTLP:      false,
-	UseNoREC:    false,
 	BatchSize:   0,
 	CaseTimeout: 0,
 	Chaos:       nil,
@@ -270,6 +269,10 @@ func fingerprint(cfg Config) string {
 // (see ShardedOptions.MaxShardRetries); checkpoint write failures are
 // counted, not fatal. Only configuration errors and interruption abort
 // the run.
+//
+// Shards do not reduce their bugs. With Config.ReduceBugs, the merged
+// report's prioritized bugs are reduced once, after the merge, over the
+// same worker count: bugs the global prioritizer drops are never reduced.
 func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 	if cfg.Dialect == nil {
 		return nil, fmt.Errorf("campaign: no dialect configured")
@@ -277,13 +280,7 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 	cfg = cfg.withDefaults()
 	shards := shardConfigs(cfg)
 	nShards := len(shards)
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nShards {
-		workers = nShards
-	}
+	workers := max(opts.Workers, 1)
 	maxRetries := opts.MaxShardRetries
 	if maxRetries == 0 {
 		maxRetries = DefaultShardRetries
@@ -356,6 +353,9 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 		return nil, err
 	}
 	merged.CheckpointWriteFailures += ckptFailures
+	if err := reduceBugs(cfg, merged.Bugs, workers); err != nil {
+		return nil, err
+	}
 	if opts.CheckpointPath != "" {
 		// Campaign complete; nothing to resume. A failed removal is a real
 		// error — a stale checkpoint would resurrect this run's shards
@@ -424,11 +424,7 @@ func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, er
 	if err != nil {
 		return nil, true, err
 	}
-	rep, err = runner.Run()
-	if err != nil {
-		return nil, false, err
-	}
-	return rep, false, nil
+	return runner.run(), false, nil
 }
 
 // loadCheckpoint restores completed shards from path into cp after

@@ -2,9 +2,12 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,51 +179,114 @@ func TestBudgetChangesOutcome(t *testing.T) {
 }
 
 // TestCheckpointResume interrupts a checkpointed campaign mid-run and
-// resumes it: the final report must be byte-identical to an
-// uninterrupted run, and the checkpoint file must be cleaned up once the
-// campaign completes.
+// resumes it, with reduction off and on: the final report must be
+// byte-identical to an uninterrupted run, and the checkpoint file must
+// be cleaned up once the campaign completes. With reduction on, the
+// restored shards carry the reducer's input, and the merged bugs are
+// reduced after the resume exactly as without the interruption.
 func TestCheckpointResume(t *testing.T) {
-	cfg := shardedCfg(t, 800, 11) // 4 shards
-	ref, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	interrupt := make(chan struct{})
-	go func() {
-		// Close the interrupt as soon as the first shard has been
-		// checkpointed; with one worker the remaining shards then never
-		// start.
-		for {
-			if _, err := os.Stat(path); err == nil {
-				close(interrupt)
-				return
+	for _, reduce := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reduce=%t", reduce), func(t *testing.T) {
+			cfg := shardedCfg(t, 800, 11) // 4 shards
+			cfg.ReduceBugs = reduce
+			ref, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	_, err = RunShardedOpts(cfg, ShardedOptions{
-		Workers: 1, CheckpointPath: path, Interrupt: interrupt,
-	})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint left behind after the interrupt: %v", err)
-	}
+			if reduce && !hasReducedBug(ref) {
+				t.Fatal("reference report holds no reduced bug: the reduce=true case is vacuous")
+			}
 
-	resumed, err := RunShardedOpts(cfg, ShardedOptions{
-		Workers: 2, CheckpointPath: path, Resume: true,
-	})
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			interrupt := make(chan struct{})
+			go func() {
+				// Close the interrupt as soon as the first shard has been
+				// checkpointed; with one worker the remaining shards then
+				// never start.
+				for {
+					if _, err := os.Stat(path); err == nil {
+						close(interrupt)
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}()
+			_, err = RunShardedOpts(cfg, ShardedOptions{
+				Workers: 1, CheckpointPath: path, Interrupt: interrupt,
+			})
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("no checkpoint left behind after the interrupt: %v", err)
+			}
+
+			resumed, err := RunShardedOpts(cfg, ShardedOptions{
+				Workers: 2, CheckpointPath: path, Resume: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalReport(t, ref), marshalReport(t, resumed)) {
+				t.Fatal("resumed report differs from the uninterrupted run")
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("checkpoint not removed after completion: %v", err)
+			}
+		})
+	}
+}
+
+func hasReducedBug(rep *Report) bool {
+	for _, b := range rep.Bugs {
+		if len(b.Reduced) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCheckpointOldVersionRefused: an intact checkpoint of version 2,
+// whose shards hold reductions and no reducer input, is a hard version
+// error — not a corrupt file to salvage from ".bak", and not a fresh
+// start. A usable current-version ".bak" sits beside it, so a salvage
+// would succeed and hide the refusal.
+func TestCheckpointOldVersionRefused(t *testing.T) {
+	cfg := shardedCfg(t, 400, 11).withDefaults()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	cp := &checkpointFile{
+		Fingerprint: fingerprint(cfg),
+		TotalShards: 2,
+		Seeds:       make([]int64, 2),
+		Shards:      make([]*Report, 2),
+	}
+	for i, sc := range shardConfigs(cfg) {
+		cp.Seeds[i] = sc.Seed
+	}
+	if err := saveCheckpoint(path+".bak", cp, nil); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(marshalReport(t, ref), marshalReport(t, resumed)) {
-		t.Fatal("resumed report differs from the uninterrupted run")
+	old, err := json.Marshal(checkpointEnvelope{Version: 2, Checksum: ckptChecksum(payload), Payload: payload})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("checkpoint not removed after completion: %v", err)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = loadCheckpointFile(path)
+	if err == nil || errors.Is(err, errCkptCorrupt) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("loading a version-2 checkpoint: got %v, want a hard version error", err)
+	}
+	if _, err := RunShardedOpts(cfg, ShardedOptions{
+		Workers: 1, CheckpointPath: path, Resume: true,
+	}); err == nil || errors.Is(err, errCkptCorrupt) {
+		t.Fatalf("resume from a version-2 checkpoint: got %v, want a hard version error", err)
 	}
 }
 

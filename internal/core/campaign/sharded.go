@@ -83,7 +83,9 @@ func shardConfigs(cfg Config) []Config {
 // via Tracker.MergeState followed by one posterior update over the
 // pooled evidence. Ground-truth fault sets union. Every step is a
 // deterministic function of the shard reports, which are themselves
-// deterministic per shard seed.
+// deterministic per shard seed. Bugs arrive unreduced (shards run only
+// the case loop) and leave unreduced: RunShardedOpts reduces the merged
+// bugs afterwards, so only the bugs kept here are reduced.
 //
 // A quarantined shard's placeholder contributes only its retry count and
 // a QuarantinedShards entry (shard ordinal, derived seed, case count —

@@ -101,9 +101,6 @@ func New(opts ...Option) *Tracker {
 	return t
 }
 
-// Enabled reports whether suppression is active.
-func (t *Tracker) Enabled() bool { return t.enabled }
-
 func (t *Tracker) stat(f string) *featureStats {
 	st := t.stats[f]
 	if st == nil {

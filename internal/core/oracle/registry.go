@@ -147,8 +147,7 @@ func Select(names []Name) ([]Registration, error) {
 }
 
 // TLPFamily returns the TLP-variant oracle names (classic, composed,
-// aggregate) — the selection the legacy UseTLP toggle and the
-// "tlp-family" alias expand to.
+// aggregate) — the selection the "tlp-family" alias expands to.
 func TLPFamily() []Name {
 	return []Name{TLPName, TLPComposedName, TLPAggregateName}
 }

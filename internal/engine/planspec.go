@@ -68,8 +68,7 @@ type JoinSpec struct {
 type PlanSpec struct {
 	// DisableIndexPaths suppresses the access-path planner wholesale:
 	// every scan — base-table and join probe alike — is a full scan,
-	// while index maintenance continues. This is the plan the legacy
-	// SetIndexPaths(false) toggle selected.
+	// while index maintenance continues.
 	DisableIndexPaths bool
 	// JoinPerm reorders the leading inner-join chain of the FROM list
 	// before planning: relation j of the permuted FROM is original

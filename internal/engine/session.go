@@ -146,15 +146,6 @@ func WithPlanSpec(spec PlanSpec) Option {
 	return func(s *DB) { s.SetPlanSpec(spec) }
 }
 
-// WithoutIndexPaths disables index-backed access paths: every scan is a
-// full scan, as in the pre-planner engine.
-//
-// Deprecated: thin shim over the PlanSpec API; use
-// WithPlanSpec(PlanSpec{DisableIndexPaths: true}).
-func WithoutIndexPaths() Option {
-	return WithPlanSpec(PlanSpec{DisableIndexPaths: true})
-}
-
 // Open creates an empty database for the dialect.
 // maxBudget disables budget enforcement: the per-row check compares
 // against it unconditionally, so "no budget" costs one never-taken
@@ -243,15 +234,6 @@ func (s *DB) SetPlanSpec(spec PlanSpec) { s.planSpec = spec }
 
 // PlanSpec returns the active plan-forcing specification.
 func (s *DB) PlanSpec() PlanSpec { return s.planSpec }
-
-// SetIndexPaths toggles the access-path planner per query.
-//
-// Deprecated: thin shim over the PlanSpec API; SetIndexPaths(false) is
-// SetPlanSpec(PlanSpec{DisableIndexPaths: true}) and SetIndexPaths(true)
-// resets to the automatic plan (discarding any other forcing).
-func (s *DB) SetIndexPaths(on bool) {
-	s.SetPlanSpec(PlanSpec{DisableIndexPaths: !on})
-}
 
 // IndexPathsEnabled reports whether the access-path planner is active
 // (i.e. the current spec does not suppress it wholesale).

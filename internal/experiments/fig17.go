@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 
-	"sqlancerpp/internal/baseline"
 	"sqlancerpp/internal/dialect"
 	"sqlancerpp/internal/feature"
 )
@@ -271,21 +270,4 @@ func Table1() ([]Table1Row, string) {
 		t.add(r.Tool, yn(r.CrashBugs), yn(r.LogicBugs), yn(r.NonCSystems), r.Manual)
 	}
 	return rows, t.render("Table 1 — DBMS testing approaches (qualitative; from the paper)")
-}
-
-// ExtraFunctionsSummary reports, per dialect, how many functions only the
-// baseline generator knows (context for Figure 7 and Table 3).
-func ExtraFunctionsSummary() string {
-	t := &table{header: []string{"Dialect", "universal gap", "dialect-specific extras"}}
-	for _, name := range dialect.Names() {
-		d := dialect.MustGet(name)
-		missing := 0
-		for _, f := range feature.Functions {
-			if !d.SupportsFunction(f) {
-				missing++
-			}
-		}
-		t.add(name, itoa(missing), itoa(len(baseline.ExtraFunctions(d))))
-	}
-	return t.render("Universal-grammar gaps and dialect-specific extras per dialect")
 }
