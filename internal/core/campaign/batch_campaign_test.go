@@ -68,7 +68,7 @@ func TestShardedReportBytesIdenticalAcrossBatchSizes(t *testing.T) {
 			BatchSize:    batch,
 			KeepAllCases: true,
 		}
-		rep, err := RunSharded(cfg, workers)
+		rep, err := RunShardedOpts(cfg, ShardedOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -363,7 +363,7 @@ type Runner struct {
 	allFaults map[string]bool
 }
 
-// withDefaults resolves the zero-value configuration knobs. RunSharded
+// withDefaults resolves the zero-value configuration knobs. RunShardedOpts
 // applies it before partitioning so the shard layout is a function of the
 // resolved configuration only.
 func (cfg Config) withDefaults() Config {

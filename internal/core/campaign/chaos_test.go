@@ -40,7 +40,7 @@ func stripChaosCounters(rep *Report) *Report {
 // findings identical to the chaos-free run), and the whole scenario is
 // byte-deterministic at workers 1, 3, and 8.
 func TestChaosAcceptanceCampaign(t *testing.T) {
-	ref, err := RunSharded(shardedCfg(t, 800, 7), 1) // chaos-free baseline, 4 shards
+	ref, err := RunShardedOpts(shardedCfg(t, 800, 7), ShardedOptions{Workers: 1}) // chaos-free baseline, 4 shards
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestResumeAfterTornWriteViaBak(t *testing.T) {
 // and still produces the uninterrupted report.
 func TestResumeBothGenerationsCorrupt(t *testing.T) {
 	cfg := shardedCfg(t, 400, 13)
-	ref, err := RunSharded(cfg, 1)
+	ref, err := RunShardedOpts(cfg, ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestResumeBothGenerationsCorrupt(t *testing.T) {
 // chaos sites each fail one checkpoint save; every failure is counted,
 // none aborts the campaign, and the findings match the chaos-free run.
 func TestCheckpointFaultsEverySiteDegrade(t *testing.T) {
-	ref, err := RunSharded(shardedCfg(t, 800, 7), 1)
+	ref, err := RunShardedOpts(shardedCfg(t, 800, 7), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,11 +261,27 @@ func fingerprint(cfg Config) string {
 		cfg.KeepAllCases, h.Sum64(), ph.Sum64())
 }
 
-// RunShardedOpts is RunSharded with supervision, checkpoint/resume, and
-// interruption support. Progress is saved at shard granularity: each
-// completed shard's report is written to the checkpoint before the next
-// one is merged in, so an interrupted campaign loses at most the shards
-// that were in flight. Shard failures are retried and then quarantined
+// RunShardedOpts executes a campaign as deterministic parallel shards and
+// merges the results.
+//
+// The test-case budget splits into ShardCount logical shards;
+// ShardedOptions.Workers only bounds how many execute concurrently. Each
+// shard runs a complete Runner — its own engine instance, generator,
+// prioritizer, and Bayesian tracker (seeded from Config.FeedbackState) —
+// under a per-shard seed derived from Config.Seed via splitmix64. Because
+// shards never share mutable state and the merge is a fold in shard-index
+// order, the same seed yields a byte-identical report for every worker
+// count, including the serial Workers == 1 run.
+//
+// Semantically the difference from Run is that validity feedback does not
+// flow across database epochs during the campaign; the merged
+// FeedbackState still pools every shard's evidence for reuse in later
+// runs (paper Figure 5).
+//
+// The run is supervised, checkpointed and interruptible. Progress is
+// saved at shard granularity: each completed shard's report is written to
+// the checkpoint before the next one is merged in, so an interrupted
+// campaign loses at most the shards that were in flight. Shard failures are retried and then quarantined
 // (see ShardedOptions.MaxShardRetries); checkpoint write failures are
 // counted, not fatal. Only configuration errors and interruption abort
 // the run.

@@ -92,12 +92,12 @@ func TestCompositeOracleMixDeterministicAcrossWorkers(t *testing.T) {
 			KeepAllCases: true,
 		}
 	}
-	serial, err := RunSharded(cfg(), 1)
+	serial, err := RunShardedOpts(cfg(), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		par, err := RunSharded(cfg(), workers)
+		par, err := RunShardedOpts(cfg(), ShardedOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,12 +81,12 @@ func TestJoinPermOnlyFaultCampaignAttribution(t *testing.T) {
 
 	// Determinism: byte-identical merged reports at every worker count
 	// with the pair scheduler on (the default).
-	serial, err := RunSharded(cfg(), 1)
+	serial, err := RunShardedOpts(cfg(), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, 8} {
-		par, err := RunSharded(cfg(), workers)
+		par, err := RunShardedOpts(cfg(), ShardedOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,12 +90,12 @@ func TestPlanDiffEnumerationBeatsLegacyTogglePair(t *testing.T) {
 		forced, reduced, rep.Detected, 100*rep.ValidityRate())
 
 	// Byte-identical sharded reports for every worker count.
-	serial, err := RunSharded(cfg(), 1)
+	serial, err := RunShardedOpts(cfg(), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, 8} {
-		par, err := RunSharded(cfg(), workers)
+		par, err := RunShardedOpts(cfg(), ShardedOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestPlanPairCountersAndShardMerge(t *testing.T) {
 		t.Fatal("report must carry the pair tracker's state")
 	}
 
-	shardedRep, err := RunSharded(cfg(true), 4)
+	shardedRep, err := RunShardedOpts(cfg(true), ShardedOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

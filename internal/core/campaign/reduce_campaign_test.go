@@ -30,7 +30,7 @@ func TestReducedBugsReplayFromText(t *testing.T) {
 		for name, cfg := range cfgs {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				rep, err := RunSharded(cfg, 1)
+				rep, err := RunShardedOpts(cfg, ShardedOptions{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -46,7 +46,7 @@ func panicCfg(t *testing.T, cases int, seed int64) Config {
 // report, no false positives, every prioritized harness crash reduced —
 // and the report is byte-identical at 1, 3, and 8 workers.
 func TestHarnessCrashContainmentDeterministic(t *testing.T) {
-	ref, err := RunSharded(panicCfg(t, 800, 7), 1)
+	ref, err := RunShardedOpts(panicCfg(t, 800, 7), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestHarnessCrashContainmentDeterministic(t *testing.T) {
 		t.Fatal("no prioritized harness bugs in the report")
 	}
 	for _, workers := range []int{3, 8} {
-		par, err := RunSharded(panicCfg(t, 800, 7), workers)
+		par, err := RunShardedOpts(panicCfg(t, 800, 7), ShardedOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestHarnessCrashSerialRunner(t *testing.T) {
 func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 	cfg := shardedCfg(t, 800, 7)
 	cfg.RowBudget = 50
-	ref, err := RunSharded(cfg, 1)
+	ref, err := RunShardedOpts(cfg, ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{3, 8} {
 		cfg := shardedCfg(t, 800, 7)
 		cfg.RowBudget = 50
-		par, err := RunSharded(cfg, workers)
+		par, err := RunShardedOpts(cfg, ShardedOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +157,13 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 // never enforced: a tight budget must change the campaign outcome
 // relative to an unlimited run.
 func TestBudgetChangesOutcome(t *testing.T) {
-	free, err := RunSharded(shardedCfg(t, 400, 5), 1)
+	free, err := RunShardedOpts(shardedCfg(t, 400, 5), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := shardedCfg(t, 400, 5)
 	cfg.RowBudget = 20
-	tight, err := RunSharded(cfg, 1)
+	tight, err := RunShardedOpts(cfg, ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestCheckpointResumeMissingFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunSharded(cfg, 1)
+	ref, err := RunShardedOpts(cfg, ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

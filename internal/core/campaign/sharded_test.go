@@ -36,12 +36,12 @@ func marshalReport(t *testing.T, rep *Report) []byte {
 // serial-vs-parallel equivalence check; go test -race guards the
 // parallel run's memory safety.
 func TestRunShardedDeterministicAcrossWorkers(t *testing.T) {
-	serial, err := RunSharded(shardedCfg(t, 800, 7), 1)
+	serial, err := RunShardedOpts(shardedCfg(t, 800, 7), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := RunSharded(shardedCfg(t, 800, 7), workers)
+		par, err := RunShardedOpts(shardedCfg(t, 800, 7), ShardedOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +55,11 @@ func TestRunShardedDeterministicAcrossWorkers(t *testing.T) {
 // on the bug set and feedback state specifically: identical bug IDs,
 // ground truth, and learned state between the serial run and workers=4.
 func TestRunShardedBugSetMatchesSerial(t *testing.T) {
-	serial, err := RunSharded(shardedCfg(t, 600, 42), 1)
+	serial, err := RunShardedOpts(shardedCfg(t, 600, 42), ShardedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSharded(shardedCfg(t, 600, 42), 4)
+	par, err := RunShardedOpts(shardedCfg(t, 600, 42), ShardedOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestRunShardedBugSetMatchesSerial(t *testing.T) {
 // wiring (all shards running the same stream): different seeds must
 // change the outcome.
 func TestRunShardedSeedSensitivity(t *testing.T) {
-	a, err := RunSharded(shardedCfg(t, 400, 1), 2)
+	a, err := RunShardedOpts(shardedCfg(t, 400, 1), ShardedOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSharded(shardedCfg(t, 400, 2), 2)
+	b, err := RunShardedOpts(shardedCfg(t, 400, 2), ShardedOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunShardedSeedSensitivity(t *testing.T) {
 
 // TestRunShardedAccounting checks the merged counters add up.
 func TestRunShardedAccounting(t *testing.T) {
-	rep, err := RunSharded(shardedCfg(t, 500, 3), 3)
+	rep, err := RunShardedOpts(shardedCfg(t, 500, 3), ShardedOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRunShardedWarmStartCountsPriorOnce(t *testing.T) {
 
 	cfg := shardedCfg(t, 600, 9) // 3 shards
 	cfg.FeedbackState = state
-	rep, err := RunSharded(cfg, 3)
+	rep, err := RunShardedOpts(cfg, ShardedOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,9 +249,11 @@ func (g *Generator) genBool(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 }
 
 // pickChoice picks among structural alternatives, filtering those that
-// map to features the policy suppresses.
+// map to features the policy suppresses. Like pickFeature, it collects
+// the candidates in a stack buffer.
 func (g *Generator) pickChoice(alts []string) string {
-	var ok []string
+	var buf [pickBuf]string
+	ok := buf[:0]
 	for _, a := range alts {
 		switch a {
 		// Structural labels are not features; the concrete feature inside

@@ -221,6 +221,10 @@ func (fs featSet) list() []string {
 	return out
 }
 
+// pickBuf is the stack capacity of pickFeature's and pickChoice's
+// candidate lists.
+const pickBuf = 32
+
 // supported asks the policy (paper Listing 4: shouldGenerate).
 func (g *Generator) supported(f string) bool { return g.cfg.Policy.Supported(f) }
 
@@ -228,8 +232,11 @@ func (g *Generator) supported(f string) bool { return g.cfg.Policy.Supported(f) 
 // (paper Figure 5 step 4: unsupported alternatives get zero probability,
 // the rest are uniform). If everything is suppressed it falls back to
 // the full list so generation can still make progress (and re-probe).
+// The candidates collect in a stack buffer sized above the longest list
+// the generator passes (genBool's 17); a longer list spills to the heap.
 func (g *Generator) pickFeature(alts []string) string {
-	var ok []string
+	var buf [pickBuf]string
+	ok := buf[:0]
 	for _, a := range alts {
 		if g.supported(a) {
 			ok = append(ok, a)

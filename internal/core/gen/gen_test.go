@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -318,5 +319,49 @@ func TestPlanSpaceCountersTrackProbeShapes(t *testing.T) {
 	}
 	if ps.MultiKeyJoins == 0 || ps.MultiKeyJoins > ps.ProbeEligibleJoins {
 		t.Errorf("multi-key joins out of range: %+v", ps)
+	}
+}
+
+// TestPickMatchesHeapReference checks that pickFeature and pickChoice
+// draw the same sequence as a plain heap-slice filter over the same seed,
+// for lists that fit their stack buffer (one as long as genBool's), one
+// that spills past it, and one the policy suppresses entirely (the
+// fall-back to every entry).
+func TestPickMatchesHeapReference(t *testing.T) {
+	var long []string
+	for i := 0; i < pickBuf+8; i++ {
+		long = append(long, fmt.Sprintf("F%d", i))
+	}
+	short := []string{"CMP", "LEAF", "F0", "F1", "F2", "F3", "F4", "F5", "ARITH"}
+	bools := append([]string{"CMP", "CMP", "CMP"}, long[:14]...)
+	policy := blockPolicy{"F1": true, "F4": true, "F9": true, "CMP": true}
+	blocked := []string{"F1", "F4", "F9"}
+	// ref is the heap-slice selection the stack buffer replaced.
+	ref := func(g *Generator, alts []string, structural bool) string {
+		var ok []string
+		for _, a := range alts {
+			switch {
+			case structural && (a == "CMP" || a == "LEAF" || a == "ARITH" || a == "FUNC" || a == "NEG"):
+				ok = append(ok, a)
+			case g.supported(a):
+				ok = append(ok, a)
+			}
+		}
+		if len(ok) == 0 {
+			ok = alts
+		}
+		return ok[g.rnd.Intn(len(ok))]
+	}
+	for _, alts := range [][]string{short, bools, long, blocked} {
+		g := New(Config{Seed: 99, Policy: policy})
+		r := New(Config{Seed: 99, Policy: policy})
+		for i := 0; i < 500; i++ {
+			if got, want := g.pickFeature(alts), ref(r, alts, false); got != want {
+				t.Fatalf("pickFeature(%d alts) draw %d = %s, want %s", len(alts), i, got, want)
+			}
+			if got, want := g.pickChoice(alts), ref(r, alts, true); got != want {
+				t.Fatalf("pickChoice(%d alts) draw %d = %s, want %s", len(alts), i, got, want)
+			}
+		}
 	}
 }

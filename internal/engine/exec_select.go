@@ -85,19 +85,27 @@ func (env *rowEnv) bindRow(row jrow) {
 }
 
 // jrowArena hands out combined join rows from chunked backing storage,
-// replacing one slice allocation per output row with one per chunk.
+// replacing one slice allocation per output row with one per chunk. The
+// first chunk holds jrowChunkMin slots and each later one doubles, up to
+// jrowChunkMax, so a join that yields three rows pays for 32 slots, not
+// 1,024, while a large join still amortizes to one allocation per 1,024.
 type jrowArena struct {
-	buf [][]Value
+	buf  [][]Value
+	next int // slots in the next chunk; 0 before the first
 }
+
+const (
+	jrowChunkMin = 32
+	jrowChunkMax = 1024
+)
 
 func (a *jrowArena) row(lrow jrow, rrow []Value) jrow {
 	n := len(lrow) + 1
 	if len(a.buf) < n {
-		size := 1024
-		if n > size {
-			size = n
-		}
-		a.buf = make([][]Value, size)
+		size := max(a.next, jrowChunkMin)
+		a.next = min(2*size, jrowChunkMax)
+		// A row wider than the chunk gets a chunk of its own.
+		a.buf = make([][]Value, max(size, n))
 	}
 	out := a.buf[:n:n]
 	a.buf = a.buf[n:]
@@ -112,6 +120,15 @@ func nullRow(n int) []Value {
 		out[i] = Null()
 	}
 	return out
+}
+
+// nullJrow is the all-NULL combined row over rels.
+func nullJrow(rels []matRel) jrow {
+	r := make(jrow, len(rels))
+	for i := range rels {
+		r[i] = nullRow(len(rels[i].cols))
+	}
+	return r
 }
 
 // materializeRef produces the rows of a FROM item.
@@ -273,15 +290,16 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 		// Heap projection. Output rows and sort keys subslice two
 		// exactly-sized backing arrays: one allocation each per statement
 		// instead of one per row, with every subslice capacity-bounded so
-		// an append could never bleed into its neighbor.
+		// an append could never bleed into its neighbor. Sort keys exist
+		// only under ORDER BY; without it sortKeys stays nil.
 		width := projWidth(sel, rels)
 		n := len(rows)
 		klen := len(sel.OrderBy)
-		outRows = make([][]Value, 0, n)
-		sortKeys = make([][]Value, 0, n)
+		outRows = make([][]Value, n)
 		flat := make([]Value, n*width)
 		var kflat []Value
 		if klen > 0 {
+			sortKeys = make([][]Value, n)
 			kflat = make([]Value, n*klen)
 		}
 		for i, row := range rows {
@@ -289,13 +307,13 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 			var kbuf []Value
 			if klen > 0 {
 				kbuf = kflat[i*klen : (i+1)*klen : (i+1)*klen]
+				sortKeys[i] = kbuf
 			}
-			out, keys, err := s.projectRow(sel, rels, row, starOrder, ctx, flat[i*width:i*width:(i+1)*width], kbuf)
+			out, err := s.projectRow(sel, rels, row, starOrder, ctx, flat[i*width:i*width:(i+1)*width], kbuf)
 			if err != nil {
 				return nil, err
 			}
-			outRows = append(outRows, out)
-			sortKeys = append(sortKeys, keys)
+			outRows[i] = out
 		}
 	}
 
@@ -310,7 +328,9 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 			if !seen[k] {
 				seen[k] = true
 				dr = append(dr, r)
-				dk = append(dk, sortKeys[i])
+				if sortKeys != nil {
+					dk = append(dk, sortKeys[i])
+				}
 			}
 		}
 		outRows, sortKeys = dr, dk
@@ -388,15 +408,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 		return ok, err
 	}
 
-	// NULL-extension rows are immutable, so every NULL-extended output row
-	// shares the same backing slices.
 	var arena jrowArena
-	rightNull := nullRow(len(right.cols))
-	leftNull := make(jrow, len(rels))
-	for i := range rels {
-		leftNull[i] = nullRow(len(rels[i].cols))
-	}
-
 	var out []jrow
 	switch item.Join {
 	case sqlast.JoinComma, sqlast.JoinCross, sqlast.JoinInner, sqlast.JoinNatural:
@@ -460,6 +472,9 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 			}
 		}
 	case sqlast.JoinLeft, sqlast.JoinFull:
+		// NULL-extension rows are immutable, so every NULL-extended output
+		// row shares the same backing slices; only outer joins build them.
+		rightNull := nullRow(len(right.cols))
 		matchedRight := make([]bool, len(right.rows))
 		for _, lrow := range left {
 			any := false
@@ -486,6 +501,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 			}
 		}
 		if item.Join == sqlast.JoinFull {
+			leftNull := nullJrow(rels)
 			for ri, rrow := range right.rows {
 				if matchedRight[ri] {
 					continue
@@ -498,6 +514,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 			}
 		}
 	case sqlast.JoinRight:
+		leftNull := nullJrow(rels)
 		for _, rrow := range right.rows {
 			any := false
 			for _, lrow := range left {
@@ -693,12 +710,12 @@ func projWidth(sel *sqlast.Select, rels []matRel) int {
 	return w
 }
 
-// projectRow evaluates the projections and ORDER BY keys for one row.
-// ctx is the statement's reused evaluation context, already bound to the
-// row. out is an empty, capacity-bounded projection buffer; keys is a
-// full-length ORDER BY key buffer (nil when the statement has none) —
-// both are caller-provided slices of per-statement backing arrays.
-func (s *DB) projectRow(sel *sqlast.Select, rels []matRel, row jrow, starOrder []int, ctx *evalCtx, out, keys []Value) ([]Value, []Value, *Error) {
+// projectRow evaluates the projections for one row and fills its ORDER BY
+// keys. ctx is the statement's reused evaluation context, already bound
+// to the row. out is an empty, capacity-bounded projection buffer; keys
+// is a full-length ORDER BY key buffer (nil when the statement has none)
+// — both are caller-provided slices of per-statement backing arrays.
+func (s *DB) projectRow(sel *sqlast.Select, rels []matRel, row jrow, starOrder []int, ctx *evalCtx, out, keys []Value) ([]Value, *Error) {
 	for i := range sel.Items {
 		item := &sel.Items[i]
 		if item.Star {
@@ -715,18 +732,18 @@ func (s *DB) projectRow(sel *sqlast.Select, rels []matRel, row jrow, starOrder [
 		}
 		v, err := ctx.eval(item.Expr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out = append(out, v)
 	}
 	for i := range sel.OrderBy {
 		v, err := ctx.eval(sel.OrderBy[i].Expr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		keys[i] = v
 	}
-	return out, keys, nil
+	return out, nil
 }
 
 // orderKeys evaluates the ORDER BY expressions in ctx.
@@ -860,13 +877,7 @@ func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *
 		order = append(order, "")
 	}
 
-	emptyEnv := buildEnv(rels, func() jrow {
-		r := make(jrow, len(rels))
-		for i := range rels {
-			r[i] = nullRow(len(rels[i].cols))
-		}
-		return r
-	}(), outer)
+	emptyEnv := buildEnv(rels, nullJrow(rels), outer)
 
 	var outRows [][]Value
 	var sortKeys [][]Value
@@ -908,7 +919,9 @@ func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *
 			return nil, nil, err
 		}
 		outRows = append(outRows, out)
-		sortKeys = append(sortKeys, keys)
+		if keys != nil { // nil without ORDER BY
+			sortKeys = append(sortKeys, keys)
+		}
 	}
 	return outRows, sortKeys, nil
 }
